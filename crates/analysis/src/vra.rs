@@ -689,9 +689,14 @@ fn fixpoint(
     entry[f.entry.index()] = Env::top();
     let mut changes: Vec<u32> = vec![0; n];
     let mut work: Vec<usize> = vec![f.entry.index()];
+    // `queued[b]` iff `b` is on `work`: an O(1) membership test that
+    // keeps the stack's visit order
+    let mut queued: Vec<bool> = vec![false; n];
+    queued[f.entry.index()] = true;
     let mut budget = iteration_cap(f);
 
     while let Some(bi) = work.pop() {
+        queued[bi] = false;
         if budget == 0 {
             // backstop: degrade every reachable block to top and stop
             for e in entry.iter_mut() {
@@ -738,7 +743,8 @@ fn fixpoint(
             if joined != entry[succ] {
                 changes[succ] += 1;
                 entry[succ] = joined;
-                if !work.contains(&succ) {
+                if !queued[succ] {
+                    queued[succ] = true;
                     work.push(succ);
                 }
             }

@@ -42,6 +42,8 @@
 //! Every failed obligation becomes a [`Diagnostic`] naming the check, the
 //! block, and the gap, plus the implication that could not be discharged.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -52,6 +54,7 @@ use nascent_analysis::dom::Dominators;
 use nascent_analysis::loops::{LoopForest, LoopInfo};
 use nascent_analysis::reach::UniqueDefs;
 use nascent_ir::{BlockId, Check, CheckExpr, Function, LinForm, Program, Stmt, Terminator, VarId};
+use nascent_obs::trace::span;
 use nascent_rangecheck::dataflow::{antic_step, avail_step, Antic, Avail};
 use nascent_rangecheck::util::BitSet;
 use nascent_rangecheck::{inx, CheckKind, Discharge, Event, JustLog, OptimizeOptions, Universe};
@@ -168,7 +171,7 @@ pub fn certify_program(
     logs: &[JustLog],
     opts: &OptimizeOptions,
 ) -> Certificate {
-    let mut sp = nascent_obs::trace::span("certify", "verify");
+    let mut sp = span("certify", "verify");
     sp.attr("functions", naive.functions.len());
     let mut cert = Certificate::default();
     if naive.functions.len() != optimized.functions.len() || naive.functions.len() != logs.len() {
@@ -185,9 +188,11 @@ pub fn certify_program(
         });
         return cert;
     }
-    let mut reference = naive.clone();
+    // only the INX rewrite needs a copy; under PRX the naive program is
+    // the reference as it stands
+    let mut reference = Cow::Borrowed(naive);
     if opts.kind == CheckKind::Inx {
-        for f in &mut reference.functions {
+        for f in &mut reference.to_mut().functions {
             inx::rewrite_checks(f);
         }
     }
@@ -224,6 +229,7 @@ pub fn certify_function(
 
     // universe on the reference, widened with everything the optimized
     // code or the log mentions, so every implication query resolves
+    let trusted = span("trusted-context", "verify");
     let mut extra: Vec<CheckExpr> = log.mentioned_checks();
     for b in optimized.block_ids() {
         for s in &optimized.block(b).stmts {
@@ -239,23 +245,46 @@ pub fn certify_function(
     let mut ref_ctx = PassContext::new();
     let mut opt_ctx = PassContext::new();
     let u = Universe::build_with_extra_ctx(reference, opts.implications, &extra, &mut ref_ctx);
+    let ref_forest = ref_ctx.loop_forest(reference);
+    let forest = opt_ctx.loop_forest(optimized);
+    let dom = opt_ctx.dominators(optimized);
+    let udefs = opt_ctx.unique_defs(optimized);
+    drop(trusted);
     // summaries are per-(function, universe): Antic is summarized over the
     // reference CFG, Avail over the optimized one, sharing the universe
-    let ref_antic = solve(reference, &Antic::new(reference, &u));
-    let opt_avail = solve(optimized, &Avail::new(optimized, &u));
+    let ref_antic = {
+        let _s = span("antic", "verify");
+        solve(reference, &Antic::new(reference, &u))
+    };
+    let opt_avail = {
+        let _s = span("avail", "verify");
+        solve(optimized, &Avail::new(optimized, &u))
+    };
+    // every reference check's verdict is consulted (direction A counts
+    // the provable ones), so the reference side is analyzed up front,
+    // one forward sweep per block
+    let ref_verdicts = {
+        let _s = span("vra-ref", "verify");
+        let vra_ref = vra::analyze_with(reference, &ref_forest);
+        reference
+            .block_ids()
+            .map(|b| vra_ref.check_verdicts(reference, b))
+            .collect()
+    };
 
     let ctx = Ctx {
         ref_f: reference,
         opt_f: optimized,
         log,
+        ref_events: events_by_block(log, reference.blocks.len()),
         u,
         ref_antic,
         opt_avail,
-        vra_ref: vra::analyze_with(reference, &mut ref_ctx),
-        vra_opt: vra::analyze_with(optimized, &mut opt_ctx),
-        forest: opt_ctx.loop_forest(optimized),
-        dom: opt_ctx.dominators(optimized),
-        udefs: opt_ctx.unique_defs(optimized),
+        ref_verdicts,
+        vra_opt: OnceCell::new(),
+        forest,
+        dom,
+        udefs,
         shared: reference.blocks.len(),
     };
 
@@ -290,6 +319,7 @@ pub fn certify_function(
     }
 
     // direction A: every reference check is covered
+    let direction_a = span("direction-a", "verify");
     for (bi, ok) in aligned.iter().enumerate() {
         if !ok {
             continue;
@@ -306,11 +336,12 @@ pub fn certify_function(
                 continue; // the reference is naive: only unconditional checks
             }
             cert.obligations += 1;
-            if ctx.vra_ref.at(ctx.ref_f, b, idx).verdict(&c.cond) == Some(true) {
+            let vra_proved = ctx.ref_verdicts[bi][idx] == Some(true);
+            if vra_proved {
                 cert.vra_discharged += 1;
             }
             let mut visited = HashSet::new();
-            match ctx.cover_ref_check(b, gap, Some(idx), &c.cond, 16, &mut visited) {
+            match ctx.cover_ref_check(b, gap, vra_proved, &c.cond, 16, &mut visited) {
                 Ok(Cover::Log) => cert.discharged_by_log += 1,
                 Ok(_) => {}
                 Err(reason) => cert.diagnostics.push(Diagnostic {
@@ -322,8 +353,10 @@ pub fn certify_function(
             }
         }
     }
+    drop(direction_a);
 
     // direction B: every optimized check or trap is justified
+    let direction_b = span("direction-b", "verify");
     for b in ctx.opt_f.block_ids() {
         let bi = b.index();
         if bi < ctx.shared && !aligned[bi] {
@@ -374,6 +407,7 @@ pub fn certify_function(
             }
         }
     }
+    drop(direction_b);
 
     // direction C: every `Discharged` event names a real reference check
     // the trusted VRA re-proves at its site. Direction A alone cannot
@@ -381,6 +415,7 @@ pub fn certify_function(
     // the deletion without consulting the log — so the events themselves
     // are obligations: an event pointing at a nonexistent site or an
     // unprovable check means the optimizer's justification was forged.
+    let _direction_c = span("direction-c", "verify");
     for e in log.events.iter() {
         let Event::Discharged { block, check, .. } = e else {
             continue;
@@ -418,10 +453,10 @@ pub fn certify_function(
             .block(*block)
             .stmts
             .iter()
-            .enumerate()
-            .any(|(idx, s)| match s {
+            .zip(&ctx.ref_verdicts[block.index()])
+            .any(|(s, verdict)| match s {
                 Stmt::Check(c) if c.is_unconditional() && &c.cond == check => {
-                    ctx.vra_ref.at(ctx.ref_f, *block, idx).verdict(check) == Some(true)
+                    *verdict == Some(true)
                 }
                 _ => false,
             });
@@ -453,6 +488,29 @@ fn guards_match(actual: &[CheckExpr], expected: &[CheckExpr]) -> bool {
         && actual.iter().all(|g| expected.contains(g))
 }
 
+/// The events direction A consults (`Eliminated`, `Strengthened`,
+/// `FoldedTrue`, `HoistCovered`, `Discharged`), indexed by the reference
+/// block they name and kept in log order within each block. Events naming
+/// a block outside the reference can never cover a reference check and
+/// are left out.
+fn events_by_block(log: &JustLog, blocks: usize) -> Vec<Vec<&Event>> {
+    let mut by_block = vec![Vec::new(); blocks];
+    for e in &log.events {
+        let (Event::Eliminated { block, .. }
+        | Event::Strengthened { block, .. }
+        | Event::FoldedTrue { block, .. }
+        | Event::HoistCovered { block, .. }
+        | Event::Discharged { block, .. }) = e
+        else {
+            continue;
+        };
+        if let Some(events) = by_block.get_mut(block.index()) {
+            events.push(e);
+        }
+    }
+    by_block
+}
+
 /// Replay of the loop-limit substitution rule (§3.3): the induction
 /// variable is replaced by the bound that maximizes its signed
 /// contribution, so the substituted check covers every body-valid value.
@@ -472,11 +530,17 @@ struct Ctx<'a> {
     ref_f: &'a Function,
     opt_f: &'a Function,
     log: &'a JustLog,
+    /// [`events_by_block`] of `log`.
+    ref_events: Vec<Vec<&'a Event>>,
     u: Universe,
     ref_antic: Solution<BitSet>,
     opt_avail: Solution<BitSet>,
-    vra_ref: Vra,
-    vra_opt: Vra,
+    /// Trusted VRA verdict of every reference statement
+    /// ([`Vra::check_verdicts`]), per block.
+    ref_verdicts: Vec<Vec<Option<bool>>>,
+    /// Trusted VRA of the optimized function, built on first use: only
+    /// direction B's fallback and `TRAP` obligations consult it.
+    vra_opt: OnceCell<Vra>,
     forest: Arc<LoopForest>,
     dom: Arc<Dominators>,
     udefs: Arc<UniqueDefs>,
@@ -484,6 +548,13 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
+    fn vra_opt(&self) -> &Vra {
+        self.vra_opt.get_or_init(|| {
+            let _s = span("vra-opt", "verify");
+            vra::analyze_with(self.opt_f, &self.forest)
+        })
+    }
+
     fn implies(&self, c: &CheckExpr, d: &CheckExpr) -> bool {
         self.u.implies_checks(c, d) == Some(true)
     }
@@ -666,11 +737,13 @@ impl Ctx<'_> {
 
     // ---------------- direction A: no missed traps ----------------
 
+    /// `vra_proved` is the trusted VRA verdict on `c` at its reference
+    /// site; `false` for a strengthened check, which has no such site.
     fn cover_ref_check(
         &self,
         b: BlockId,
         g: usize,
-        ref_idx: Option<usize>,
+        vra_proved: bool,
         c: &CheckExpr,
         depth: u32,
         visited: &mut HashSet<CheckExpr>,
@@ -689,7 +762,7 @@ impl Ctx<'_> {
             return Err("justification chain too deep or cyclic".into());
         }
         let mut tried = Vec::new();
-        for e in &self.log.events {
+        for e in &self.ref_events[b.index()] {
             match e {
                 Event::Eliminated {
                     block,
@@ -712,19 +785,14 @@ impl Ctx<'_> {
                         tried.push(format!("strengthened `{to}` does not imply `{c}`"));
                         continue;
                     }
-                    match self.cover_ref_check(b, g, None, to, depth - 1, visited) {
+                    match self.cover_ref_check(b, g, false, to, depth - 1, visited) {
                         Ok(_) => return Ok(Cover::Log),
                         Err(r) => tried.push(format!("strengthened `{to}` uncovered: {r}")),
                     }
                 }
                 Event::FoldedTrue { block, check } if *block == b && check == c => {
-                    if c.constant_verdict() == Some(true) {
+                    if c.constant_verdict() == Some(true) || vra_proved {
                         return Ok(Cover::Log);
-                    }
-                    if let Some(idx) = ref_idx {
-                        if self.vra_ref.at(self.ref_f, b, idx).verdict(c) == Some(true) {
-                            return Ok(Cover::Log);
-                        }
                     }
                     tried.push(format!("folded-true `{c}` is not provably true"));
                 }
@@ -742,10 +810,8 @@ impl Ctx<'_> {
                 Event::Discharged { block, check, .. } if *block == b && check == c => {
                     // the recorded reason is advisory; the trusted VRA
                     // must re-prove the verdict at the original site
-                    if let Some(idx) = ref_idx {
-                        if self.vra_ref.at(self.ref_f, b, idx).verdict(c) == Some(true) {
-                            return Ok(Cover::Log);
-                        }
+                    if vra_proved {
+                        return Ok(Cover::Log);
                     }
                     tried.push(format!("discharged `{c}` is not provably in-bounds"));
                 }
@@ -753,10 +819,8 @@ impl Ctx<'_> {
             }
         }
         // VRA fallback: the check can never fail at its original site
-        if let Some(idx) = ref_idx {
-            if self.vra_ref.at(self.ref_f, b, idx).verdict(c) == Some(true) {
-                return Ok(Cover::Vra);
-            }
+        if vra_proved {
+            return Ok(Cover::Vra);
         }
         if tried.is_empty() {
             Err("no covering check in the gap and no justification event".into())
@@ -1079,7 +1143,7 @@ impl Ctx<'_> {
         }
         // VRA fallback on the optimized function: a check that can never
         // fail can never trap spuriously
-        if self.vra_opt.at(self.opt_f, b, idx).verdict(&check.cond) == Some(true) {
+        if self.vra_opt().at(self.opt_f, b, idx).verdict(&check.cond) == Some(true) {
             return Ok(Cover::Vra);
         }
         Err(tried.join("; "))
@@ -1198,7 +1262,7 @@ impl Ctx<'_> {
     /// anticipates) at the same point, so the reference traps here too.
     fn justify_trap(&self, b: BlockId, g: usize, idx: usize) -> Result<Cover, String> {
         // unreachable trap: nothing to justify
-        if self.vra_opt.at(self.opt_f, b, idx).bottom {
+        if self.vra_opt().at(self.opt_f, b, idx).bottom {
             return Ok(Cover::Vra);
         }
         let (ant_b, ant_g) = if b.index() < self.shared {

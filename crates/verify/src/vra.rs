@@ -33,9 +33,10 @@
 
 use std::collections::{HashMap, HashSet};
 
+use nascent_analysis::loops::LoopForest;
 use nascent_ir::{
-    Arg, ArrayId, Atom, BinOp, CheckExpr, Expr, Function, LinForm, Param, Stmt, Term, Terminator,
-    Ty, UnOp, VarId,
+    Arg, ArrayId, Atom, BinOp, BlockId, CheckExpr, Expr, Function, LinForm, Param, Stmt, Term,
+    Terminator, Ty, UnOp, VarId,
 };
 
 /// A (possibly half-open) constant interval. `None` means unbounded.
@@ -555,12 +556,33 @@ pub struct Vra {
 
 impl Vra {
     /// The state just before statement `stmt` of block `b`.
-    pub fn at(&self, f: &Function, b: nascent_ir::BlockId, stmt: usize) -> Env {
+    pub fn at(&self, f: &Function, b: BlockId, stmt: usize) -> Env {
         let mut env = self.entry[b.index()].clone();
         for s in f.block(b).stmts.iter().take(stmt) {
             env.step_with(s, &self.load_ranges);
         }
         env
+    }
+
+    /// The verdict of every statement of block `b` from one forward
+    /// sweep: element `i` is [`Env::verdict`] in the state just before
+    /// statement `i` when that statement is an unconditional check (the
+    /// same answer as `self.at(f, b, i)`), and `None` for every other
+    /// statement.
+    pub fn check_verdicts(&self, f: &Function, b: BlockId) -> Vec<Option<bool>> {
+        let mut env = self.entry[b.index()].clone();
+        f.block(b)
+            .stmts
+            .iter()
+            .map(|s| {
+                let verdict = match s {
+                    Stmt::Check(c) if c.is_unconditional() => env.verdict(&c.cond),
+                    _ => None,
+                };
+                env.step_with(s, &self.load_ranges);
+                verdict
+            })
+            .collect()
     }
 }
 
@@ -575,14 +597,14 @@ fn iteration_cap(f: &Function) -> u32 {
 
 /// Runs the analysis to a fixpoint over `f`.
 pub fn analyze(f: &Function) -> Vra {
-    analyze_with(f, &mut nascent_analysis::context::PassContext::new())
+    let forest = nascent_analysis::context::PassContext::new().loop_forest(f);
+    analyze_with(f, &forest)
 }
 
-/// [`analyze`] drawing the loop forest from a shared
-/// [`nascent_analysis::context::PassContext`] instead of recomputing it.
-pub fn analyze_with(f: &Function, ctx: &mut nascent_analysis::context::PassContext) -> Vra {
+/// [`analyze`] over a loop forest of `f` the caller already holds,
+/// instead of recomputing it.
+pub fn analyze_with(f: &Function, forest: &LoopForest) -> Vra {
     // trip-count facts: the body-valid iv range of each loop
-    let forest = ctx.loop_forest(f);
     let mut loop_facts: HashMap<usize, Vec<(LinForm, i64)>> = HashMap::new();
     for info in &forest.loops {
         let (Some(body), Some(iv)) = (info.body_entry, info.iv.as_ref()) else {
@@ -682,9 +704,14 @@ fn fixpoint(
     entry[f.entry.index()] = Env::top();
     let mut changes: Vec<u32> = vec![0; n];
     let mut work: Vec<usize> = vec![f.entry.index()];
+    // `queued[b]` iff `b` is on `work`: an O(1) membership test that
+    // keeps the stack's visit order
+    let mut queued: Vec<bool> = vec![false; n];
+    queued[f.entry.index()] = true;
     let mut budget = iteration_cap(f);
 
     while let Some(bi) = work.pop() {
+        queued[bi] = false;
         if budget == 0 {
             // backstop: degrade every reachable block to top and stop
             for e in entry.iter_mut() {
@@ -731,7 +758,8 @@ fn fixpoint(
             if joined != entry[succ] {
                 changes[succ] += 1;
                 entry[succ] = joined;
-                if !work.contains(&succ) {
+                if !queued[succ] {
+                    queued[succ] = true;
                     work.push(succ);
                 }
             }

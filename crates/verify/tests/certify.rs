@@ -2,59 +2,67 @@
 //! optimization run the pipeline produces on the benchmark suite, and
 //! must reject runs whose justifications have been tampered with.
 
+use nascent_driver::harness::full_matrix_configs;
 use nascent_frontend::compile;
 use nascent_ir::Stmt;
+use nascent_obs::trace::ScopedCollector;
 use nascent_rangecheck::{
-    optimize_program_logged, CheckKind, Discharge, Event, ImplicationMode, OptimizeOptions, Scheme,
+    inx, optimize_program_logged, CheckKind, Discharge, Event, ImplicationMode, OptimizeOptions,
+    Scheme,
 };
-use nascent_suite::test_suite;
-use nascent_verify::certify_program;
+use nascent_suite::{random_program, test_suite, GenConfig};
+use nascent_verify::{certify_program, Certificate};
 
 /// One compile+optimize+certify round trip — the driver's glue, shared
 /// with `nascentc verify` and the `nascentd` `/certify` endpoint.
-fn certify_source(src: &str, opts: &OptimizeOptions) -> nascent_verify::Certificate {
+fn certify_source(src: &str, opts: &OptimizeOptions) -> Certificate {
     nascent_driver::certify_source(src, opts).expect("source compiles")
 }
 
 /// Every scheme × check kind × implication mode on the full ten-program
-/// suite certifies with zero uncovered obligations.
+/// suite certifies with zero uncovered obligations, and the summed
+/// certificate is pinned: how the certifier computes its facts may
+/// change, what it proves may not.
 #[test]
 fn certifier_accepts_all_schemes_on_the_suite() {
     let suite = test_suite();
-    for scheme in Scheme::EACH {
-        for kind in [CheckKind::Prx, CheckKind::Inx] {
-            for implications in [
-                ImplicationMode::All,
-                ImplicationMode::CrossFamilyOnly,
-                ImplicationMode::None,
-            ] {
-                let opts = OptimizeOptions::scheme(scheme)
-                    .with_kind(kind)
-                    .with_implications(implications);
-                for bench in &suite {
-                    let cert = certify_source(&bench.source, &opts);
-                    assert!(
-                        cert.ok(),
-                        "{} under {}/{:?}/{:?} rejected:\n{}",
-                        bench.name,
-                        scheme.name(),
-                        kind,
-                        implications,
-                        cert.diagnostics
-                            .iter()
-                            .map(|d| d.to_string())
-                            .collect::<Vec<_>>()
-                            .join("\n")
-                    );
-                    assert!(
-                        cert.obligations > 0,
-                        "{} produced no obligations",
-                        bench.name
-                    );
-                }
-            }
+    let mut total = Certificate::default();
+    for config in full_matrix_configs() {
+        let opts = config.opts;
+        for bench in &suite {
+            let cert = certify_source(&bench.source, &opts);
+            assert!(
+                cert.ok(),
+                "{} under {}/{:?}/{:?} rejected:\n{}",
+                bench.name,
+                opts.scheme.name(),
+                opts.kind,
+                opts.implications,
+                cert.diagnostics
+                    .iter()
+                    .map(|d| d.to_string())
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            );
+            assert!(
+                cert.obligations > 0,
+                "{} produced no obligations",
+                bench.name
+            );
+            total.absorb(cert);
         }
     }
+    assert_eq!(
+        (
+            total.obligations,
+            total.vra_discharged,
+            total.discharged_by_log,
+            total.discharge_events,
+            total.diagnostics.len(),
+        ),
+        (20546, 12936, 12613, 0, 0),
+        "obligations, vra_discharged, discharged_by_log, discharge_events, diagnostics"
+    );
 }
 
 /// The MCM baseline also certifies: its articulation-block hoists are a
@@ -424,4 +432,108 @@ fn vra_discharges_checks_on_several_suite_programs() {
         programs_with_discharge >= 3,
         "VRA discharged checks on only {programs_with_discharge} of 10 programs"
     );
+}
+
+/// The generator settings of the benchmark's `large-compile` corpus.
+fn large_gen_config() -> GenConfig {
+    GenConfig {
+        max_stmts: 12,
+        max_depth: 5,
+        ..GenConfig::default()
+    }
+}
+
+/// The certifier reads each reference check's value-range verdict from
+/// one forward sweep per block; that verdict must equal the per-site
+/// replay `Vra::at` at every unconditional check, with and without the
+/// INX rewrite, on the suite and on generated programs.
+#[test]
+fn swept_verdicts_equal_replayed_verdicts() {
+    let mut sources: Vec<String> = test_suite().into_iter().map(|b| b.source).collect();
+    sources.extend((0..4).map(|seed| random_program(seed, &GenConfig::default())));
+    sources.push(random_program(126, &large_gen_config()));
+    let mut sites = 0;
+    for src in &sources {
+        for f in &compile(src).unwrap().functions {
+            let mut rewritten = f.clone();
+            inx::rewrite_checks(&mut rewritten);
+            for f in [f, &rewritten] {
+                let vra = nascent_verify::vra::analyze(f);
+                for b in f.block_ids() {
+                    let swept = vra.check_verdicts(f, b);
+                    assert_eq!(swept.len(), f.block(b).stmts.len());
+                    for (i, s) in f.block(b).stmts.iter().enumerate() {
+                        let replayed = match s {
+                            Stmt::Check(c) if c.is_unconditional() => {
+                                sites += 1;
+                                vra.at(f, b, i).verdict(&c.cond)
+                            }
+                            _ => None,
+                        };
+                        assert_eq!(swept[i], replayed, "b{}[{i}]: {s:?}", b.index());
+                    }
+                }
+            }
+        }
+    }
+    assert!(sites > 1000, "only {sites} check sites compared");
+}
+
+/// A known certifier rejection (the generated programs listed under
+/// "Known defect" in `perfbench/README.md`): the diagnostics are pinned,
+/// so a change to how the certifier computes its facts cannot silently
+/// alter what it rejects and why.
+#[test]
+fn rejects_generated_program_126_by_name() {
+    let opts = OptimizeOptions::scheme(Scheme::Lls).with_kind(CheckKind::Prx);
+    let cert = certify_source(&random_program(126, &large_gen_config()), &opts);
+    let diagnostics: Vec<String> = cert.diagnostics.iter().map(|d| d.to_string()).collect();
+    assert_eq!(
+        diagnostics,
+        [
+            "b77/gap 0: check `0 <= -2`: reference check not covered: hoist cover by `0 <= -2` \
+             fails: hoisted check `0 <= -2` not found in preheader b70 and its absence is \
+             unjustified",
+            "b0/gap 6: check `TRAP`: trap not justified: no folded-false justification matches \
+             this trap",
+        ]
+    );
+}
+
+/// `certify` is split into sub-spans, and the optimized-side value-range
+/// analysis is built only when an obligation consults it: never on the
+/// suite under LLS, but for the preheader `TRAP` that `violation.mf`
+/// folds to.
+#[test]
+fn certify_sub_spans_show_when_the_optimized_side_vra_is_built() {
+    let opts = OptimizeOptions::scheme(Scheme::Lls);
+    let traced = |src: &str| {
+        let collector = ScopedCollector::begin();
+        let cert = certify_source(src, &opts);
+        let names: Vec<&str> = collector.finish().iter().map(|s| s.name).collect();
+        assert!(cert.ok(), "{cert}");
+        names
+    };
+    for bench in &test_suite() {
+        let names = traced(&bench.source);
+        for want in [
+            "certify",
+            "trusted-context",
+            "antic",
+            "avail",
+            "vra-ref",
+            "direction-a",
+            "direction-b",
+            "direction-c",
+        ] {
+            assert!(names.contains(&want), "{}: no `{want}` span", bench.name);
+        }
+        assert!(
+            !names.contains(&"vra-opt"),
+            "{}: optimized-side VRA built but never needed",
+            bench.name
+        );
+    }
+    let violation = include_str!("../../../programs/violation.mf");
+    assert!(traced(violation).contains(&"vra-opt"));
 }
